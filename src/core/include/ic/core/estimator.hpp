@@ -59,23 +59,24 @@ class RuntimeEstimator {
   /// Predicted label-scale value, log(1 + runtime in microseconds), for
   /// obfuscating `selection` in the bound circuit. Requires fit() and a
   /// bound circuit.
-  double predict_log_runtime(const std::vector<circuit::GateId>& selection);
+  double predict_log_runtime(const std::vector<circuit::GateId>& selection) const;
 
   /// Predicted de-obfuscation runtime in seconds.
-  double predict_seconds(const std::vector<circuit::GateId>& selection);
+  double predict_seconds(const std::vector<circuit::GateId>& selection) const;
 
   /// Rank candidate gate-sets by predicted runtime, hardest first. Returns
   /// indices into `candidates`.
   std::vector<std::size_t> rank_selections(
-      const std::vector<std::vector<circuit::GateId>>& candidates);
+      const std::vector<std::vector<circuit::GateId>>& candidates) const;
 
   /// Held-out MSE on (the log targets of) a dataset.
-  double evaluate(const data::Dataset& dataset);
+  double evaluate(const data::Dataset& dataset) const;
 
-  /// Feature-attention weights from the most recent prediction (Attention
-  /// readout only): index 0 is the gate mask ("gate number" in Table III),
-  /// the rest are the gate-type one-hots.
-  std::vector<double> feature_attention() const;
+  /// Feature-attention weights behind the prediction for `selection`
+  /// (Attention readout only; throws otherwise): index 0 is the gate mask
+  /// ("gate number" in Table III), the rest are the gate-type one-hots.
+  std::vector<double> feature_attention(
+      const std::vector<circuit::GateId>& selection) const;
 
   const EstimatorOptions& options() const { return options_; }
   bool is_fitted() const { return fitted_; }

@@ -73,7 +73,8 @@ nn::TrainReport RuntimeEstimator::fit(const data::Dataset& dataset) {
   return report;
 }
 
-double RuntimeEstimator::predict_log_runtime(const std::vector<GateId>& selection) {
+double RuntimeEstimator::predict_log_runtime(
+    const std::vector<GateId>& selection) const {
   IC_CHECK(fitted_, "RuntimeEstimator::predict called before fit()/load()");
   IC_CHECK(circuit_ != nullptr, "no circuit bound; call set_circuit()");
   telemetry::TraceSpan span("estimator/predict");
@@ -82,13 +83,14 @@ double RuntimeEstimator::predict_log_runtime(const std::vector<GateId>& selectio
   return model_->predict(*structure_, x);
 }
 
-double RuntimeEstimator::predict_seconds(const std::vector<GateId>& selection) {
+double RuntimeEstimator::predict_seconds(
+    const std::vector<GateId>& selection) const {
   // Targets are log(1 + microseconds) — see Dataset::log_targets().
   return std::expm1(predict_log_runtime(selection)) / 1e6;
 }
 
 std::vector<std::size_t> RuntimeEstimator::rank_selections(
-    const std::vector<std::vector<GateId>>& candidates) {
+    const std::vector<std::vector<GateId>>& candidates) const {
   telemetry::TraceSpan span("estimator/rank_selections");
   telemetry::MetricsRegistry::global()
       .counter("estimator.ranked_candidates")
@@ -104,17 +106,23 @@ std::vector<std::size_t> RuntimeEstimator::rank_selections(
   return order;
 }
 
-double RuntimeEstimator::evaluate(const data::Dataset& dataset) {
+double RuntimeEstimator::evaluate(const data::Dataset& dataset) const {
   IC_CHECK(fitted_, "RuntimeEstimator::evaluate called before fit()");
   telemetry::TraceSpan span("estimator/evaluate");
   auto samples = data::to_gnn_samples(dataset, options_.features, structure_kind());
   return nn::evaluate_mse(*model_, samples);
 }
 
-std::vector<double> RuntimeEstimator::feature_attention() const {
+std::vector<double> RuntimeEstimator::feature_attention(
+    const std::vector<GateId>& selection) const {
   IC_CHECK(options_.readout == nn::Readout::Attention,
            "feature attention requires the Attention readout");
-  return model_->last_feature_attention();
+  IC_CHECK(fitted_, "RuntimeEstimator::feature_attention called before fit()/load()");
+  IC_CHECK(circuit_ != nullptr, "no circuit bound; call set_circuit()");
+  const auto x = data::gate_features(*circuit_, selection, options_.features);
+  nn::GnnRegressor::ForwardCache cache;
+  model_->forward(*structure_, x, cache);
+  return cache.feat_attention;
 }
 
 void RuntimeEstimator::save(const std::string& path) const {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <vector>
 
@@ -60,12 +59,6 @@ class Matrix {
   friend Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
   friend Matrix operator*(Matrix a, double s) { return a *= s; }
   friend Matrix operator*(double s, Matrix a) { return a *= s; }
-
-  /// Hadamard (elementwise) product.
-  Matrix hadamard(const Matrix& other) const;
-
-  /// Elementwise map.
-  Matrix apply(const std::function<double(double)>& fn) const;
 
   // ---- products ----------------------------------------------------------
   /// Matrix product this(rows,k) * other(k,cols).

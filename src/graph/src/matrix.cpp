@@ -66,19 +66,6 @@ Matrix& Matrix::operator*=(double s) {
   return *this;
 }
 
-Matrix Matrix::hadamard(const Matrix& other) const {
-  IC_ASSERT(same_shape(other));
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::apply(const std::function<double(double)>& fn) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v = fn(v);
-  return out;
-}
-
 namespace {
 
 /// Flop threshold below which threading a matmul costs more than it saves.

@@ -41,18 +41,40 @@ struct GnnConfig {
 
 class GnnRegressor {
  public:
+  /// Activations of one forward(), read by backward().
+  struct ForwardCache {
+    const graph::SparseMatrix* structure = nullptr;
+    std::vector<GraphConv::Cache> convs;  ///< per layer; convs.back().output is H
+    std::vector<double> readout;          ///< r (d, or 1 for attention)
+    std::vector<double> feat_means;       ///< m_j
+    /// Feature-attention weights a_j (Attention readout only) — the quantity
+    /// behind the paper's Table III case study.
+    std::vector<double> feat_attention;
+    std::vector<double> gate_repr;       ///< p_g
+    std::vector<double> gate_attention;  ///< b_g (Attention readout only)
+    double z = 0.0;                      ///< head pre-activation
+  };
+
   explicit GnnRegressor(const GnnConfig& config);
 
-  /// Predict the (log-scale) runtime for one graph. Does not cache.
+  /// Predict the (log-scale) runtime for one graph. A pure function of the
+  /// parameters and its arguments that keeps no activations, so any number
+  /// of threads may call it on one shared model.
   double predict(const graph::SparseMatrix& structure,
-                 const graph::Matrix& features);
+                 const graph::Matrix& features) const;
 
-  /// Forward with caches retained for backward().
+  /// predict() that also keeps the activations backward() needs in `cache`.
   double forward(const graph::SparseMatrix& structure,
-                 const graph::Matrix& features);
+                 const graph::Matrix& features, ForwardCache& cache) const;
 
-  /// Backpropagate dL/d(prediction); accumulates parameter gradients.
-  void backward(double d_prediction);
+  /// Backpropagate dL/d(prediction) through the forward() that filled
+  /// `cache`, adding each parameter's gradient into `grads` (one matrix per
+  /// parameters() entry, e.g. from zero_gradients()).
+  void backward(const ForwardCache& cache, double d_prediction,
+                std::vector<graph::Matrix>& grads) const;
+
+  /// A zero gradient buffer shaped like parameters().
+  std::vector<graph::Matrix> zero_gradients() const;
 
   /// Initialize the output head so the untrained model predicts roughly
   /// `target_mean`. Adam moves each scalar by ~learning-rate per step, so
@@ -60,46 +82,26 @@ class GnnRegressor {
   /// label offset. Called by train_gnn before the first epoch.
   void warm_start_head(double target_mean);
 
-  void zero_grad();
   std::vector<graph::Matrix*> parameters();
-  std::vector<graph::Matrix*> gradients();
+  std::vector<const graph::Matrix*> parameters() const;
   std::size_t parameter_count() const;
 
   const GnnConfig& config() const { return config_; }
 
-  /// Feature-attention weights a_j of the last forward (Attention readout
-  /// only) — the quantity behind the paper's Table III case study.
-  const std::vector<double>& last_feature_attention() const {
-    return feat_attention_;
-  }
-  /// Gate-attention weights b_g of the last forward (Attention readout only).
-  const std::vector<double>& last_gate_attention() const {
-    return gate_attention_;
-  }
-
  private:
-  double head_forward(const std::vector<double>& readout_vec);
+  double run(const graph::SparseMatrix& structure,
+             const graph::Matrix& features, ForwardCache& cache,
+             bool keep_activations) const;
 
   GnnConfig config_;
   std::vector<GraphConv> convs_;
-  std::vector<Relu> relus_;
 
   // Attention parameters (1×d / 1×1 matrices so the optimizer is uniform).
-  graph::Matrix theta_feat_, d_theta_feat_;  // 1×d
-  graph::Matrix phi_gate_, d_phi_gate_;      // 1×1
+  graph::Matrix theta_feat_;  // 1×d
+  graph::Matrix phi_gate_;    // 1×1
   // Head parameters.
-  graph::Matrix head_w_, d_head_w_;  // r_dim×1
-  graph::Matrix head_b_, d_head_b_;  // 1×1
-
-  // ---- forward caches ----
-  graph::Matrix h_;                     // output of conv stack (n×d)
-  std::vector<double> readout_vec_;     // r (d, or 1 for attention)
-  std::vector<double> feat_means_;      // m_j
-  std::vector<double> feat_attention_;  // a_j
-  std::vector<double> gate_repr_;       // p_g
-  std::vector<double> gate_attention_;  // b_g
-  double z_ = 0.0;
-  std::size_t n_gates_ = 0;
+  graph::Matrix head_w_;  // r_dim×1
+  graph::Matrix head_b_;  // 1×1
 };
 
 }  // namespace ic::nn

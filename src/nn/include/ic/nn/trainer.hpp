@@ -59,10 +59,10 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
                       const TrainOptions& options = {});
 
 /// Mean squared error of the model on a sample set.
-double evaluate_mse(GnnRegressor& model, const std::vector<GraphSample>& samples);
+double evaluate_mse(const GnnRegressor& model, const std::vector<GraphSample>& samples);
 
 /// Predictions for each sample in order.
-std::vector<double> predict_all(GnnRegressor& model,
+std::vector<double> predict_all(const GnnRegressor& model,
                                 const std::vector<GraphSample>& samples);
 
 }  // namespace ic::nn

@@ -15,8 +15,7 @@ GraphConv::GraphConv(ConvMode mode, std::size_t order, std::size_t in_features,
       order_(order),
       in_features_(in_features),
       out_features_(out_features),
-      bias_(1, out_features),
-      d_bias_(1, out_features) {
+      bias_(1, out_features) {
   IC_ASSERT(order >= 1);
   IC_ASSERT_MSG(mode != ConvMode::Propagate || order == 1,
                 "Propagate mode uses exactly one weight matrix");
@@ -24,7 +23,6 @@ GraphConv::GraphConv(ConvMode mode, std::size_t order, std::size_t in_features,
       std::sqrt(6.0 / static_cast<double>(in_features + out_features));
   for (std::size_t k = 0; k < order; ++k) {
     weights_.push_back(Matrix::random_uniform(in_features, out_features, limit, rng));
-    d_weights_.emplace_back(in_features, out_features);
   }
   // Small positive bias keeps ReLU units off the exact kink even for
   // vertices whose whole neighborhood is inactive (raw-adjacency structure
@@ -32,52 +30,65 @@ GraphConv::GraphConv(ConvMode mode, std::size_t order, std::size_t in_features,
   for (std::size_t j = 0; j < out_features; ++j) bias_(0, j) = 0.01;
 }
 
-Matrix GraphConv::forward(const SparseMatrix& s, const Matrix& input) {
+Matrix GraphConv::forward(const SparseMatrix& s, const Matrix& input,
+                          Cache* cache) const {
   IC_ASSERT(input.cols() == in_features_);
   IC_ASSERT(s.rows() == input.rows() && s.cols() == input.rows());
-  structure_ = &s;
-  basis_.clear();
+  std::vector<Matrix> local;
+  std::vector<Matrix>& basis = cache != nullptr ? cache->basis : local;
+  basis.clear();
 
   if (mode_ == ConvMode::Propagate) {
-    basis_.push_back(s.spmm(input));  // Z = S H
+    basis.push_back(s.spmm(input));  // Z = S H
   } else {
-    basis_.push_back(input);  // T_0 H = H
-    if (order_ >= 2) basis_.push_back(s.spmm(input));
+    basis.push_back(input);  // T_0 H = H
+    if (order_ >= 2) basis.push_back(s.spmm(input));
     for (std::size_t k = 2; k < order_; ++k) {
-      Matrix z = s.spmm(basis_[k - 1]);
+      Matrix z = s.spmm(basis[k - 1]);
       z *= 2.0;
-      z -= basis_[k - 2];
-      basis_.push_back(std::move(z));
+      z -= basis[k - 2];
+      basis.push_back(std::move(z));
     }
   }
 
-  Matrix out = basis_[0].matmul(weights_[0]);
-  for (std::size_t k = 1; k < basis_.size(); ++k) {
-    out += basis_[k].matmul(weights_[k]);
+  Matrix out = basis[0].matmul(weights_[0]);
+  for (std::size_t k = 1; k < basis.size(); ++k) {
+    out += basis[k].matmul(weights_[k]);
   }
   for (std::size_t g = 0; g < out.rows(); ++g) {
-    for (std::size_t j = 0; j < out.cols(); ++j) out(g, j) += bias_(0, j);
+    for (std::size_t j = 0; j < out.cols(); ++j) {
+      const double v = out(g, j) + bias_(0, j);
+      out(g, j) = v > 0.0 ? v : 0.0;
+    }
   }
-  // Chebyshev combination + bias are the dense half of this layer; the SpMM
-  // half already marked Stage::Spmm inside SparseMatrix::spmm.
+  // Chebyshev combination, bias and ReLU are the dense half of this layer;
+  // the SpMM half already marked Stage::Spmm inside SparseMatrix::spmm.
   telemetry::mark_stage(telemetry::Stage::Dense);
+  if (cache != nullptr) cache->output = out;
   return out;
 }
 
-Matrix GraphConv::backward(const Matrix& d_out) {
-  IC_ASSERT_MSG(structure_ != nullptr, "backward without forward");
-  IC_ASSERT(d_out.cols() == out_features_);
-  const SparseMatrix& s = *structure_;
+Matrix GraphConv::backward(const SparseMatrix& s, const Cache& cache,
+                           Matrix d_out, Matrix* grads) const {
+  IC_ASSERT_MSG(cache.basis.size() == order_, "backward without forward");
+  IC_ASSERT(d_out.same_shape(cache.output));
+
+  // ReLU: the output is > 0 exactly where its input was.
+  const double* out = cache.output.data();
+  double* d = d_out.data();
+  for (std::size_t i = 0; i < d_out.size(); ++i) d[i] *= out[i] > 0.0 ? 1.0 : 0.0;
 
   // Bias gradient: column sums of d_out.
   const auto cs = d_out.col_sums();
-  for (std::size_t j = 0; j < out_features_; ++j) d_bias_(0, j) += cs[j];
+  Matrix& d_bias = grads[order_];
+  for (std::size_t j = 0; j < out_features_; ++j) d_bias(0, j) += cs[j];
 
   // Weight gradients and dL/dZ_k.
+  const std::vector<Matrix>& basis = cache.basis;
   std::vector<Matrix> d_basis;
-  d_basis.reserve(basis_.size());
-  for (std::size_t k = 0; k < basis_.size(); ++k) {
-    d_weights_[k] += basis_[k].transpose().matmul(d_out);
+  d_basis.reserve(basis.size());
+  for (std::size_t k = 0; k < basis.size(); ++k) {
+    grads[k] += basis[k].transpose().matmul(d_out);
     d_basis.push_back(d_out.matmul(weights_[k].transpose()));
   }
 
@@ -86,21 +97,16 @@ Matrix GraphConv::backward(const Matrix& d_out) {
   }
 
   // Reverse the Chebyshev recurrence Z_k = 2 S Z_{k−1} − Z_{k−2}.
-  for (std::size_t k = basis_.size(); k-- > 2;) {
+  for (std::size_t k = basis.size(); k-- > 2;) {
     Matrix t = s.spmm_transposed(d_basis[k]);
     t *= 2.0;
     d_basis[k - 1] += t;
     d_basis[k - 2] -= d_basis[k];
   }
-  if (basis_.size() >= 2) {
+  if (basis.size() >= 2) {
     d_basis[0] += s.spmm_transposed(d_basis[1]);  // Z_1 = S Z_0
   }
   return d_basis[0];
-}
-
-void GraphConv::zero_grad() {
-  for (auto& g : d_weights_) g *= 0.0;
-  d_bias_ *= 0.0;
 }
 
 std::vector<Matrix*> GraphConv::parameters() {
@@ -110,20 +116,11 @@ std::vector<Matrix*> GraphConv::parameters() {
   return out;
 }
 
-std::vector<Matrix*> GraphConv::gradients() {
-  std::vector<Matrix*> out;
-  for (auto& g : d_weights_) out.push_back(&g);
-  out.push_back(&d_bias_);
+std::vector<const Matrix*> GraphConv::parameters() const {
+  std::vector<const Matrix*> out;
+  for (const auto& w : weights_) out.push_back(&w);
+  out.push_back(&bias_);
   return out;
-}
-
-Matrix Relu::forward(const Matrix& input) {
-  mask_ = input.apply([](double v) { return v > 0.0 ? 1.0 : 0.0; });
-  return input.apply([](double v) { return v > 0.0 ? v : 0.0; });
-}
-
-Matrix Relu::backward(const Matrix& d_output) const {
-  return d_output.hadamard(mask_);
 }
 
 }  // namespace ic::nn

@@ -28,7 +28,9 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
   Adam optimizer(options.learning_rate, 0.9, 0.999, 1e-8, options.weight_decay);
   Rng rng(options.seed);
   auto params = model.parameters();
-  auto grads = model.gradients();
+  std::vector<graph::Matrix> batch_grads = model.zero_gradients();
+  std::vector<graph::Matrix*> grads;
+  for (auto& g : batch_grads) grads.push_back(&g);
 
   std::vector<std::size_t> order(train.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -40,21 +42,16 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
   double best_loss = std::numeric_limits<double>::infinity();
   std::size_t stale = 0;
 
-  // Minibatch data parallelism. Each executor owns a clone of the model
-  // (forward/backward mutate layer caches, so the model itself cannot be
-  // shared); before every batch the clones resync parameters from the
-  // optimizer's master copy. Each sample's gradient lands in its own buffer,
-  // and the reduction below adds them back in sample order — the exact
-  // floating-point additions of the serial loop, because one backward()
-  // accumulates each parameter gradient with exactly one `+=` of an
-  // independently computed term. Hence: bit-identical at any jobs value.
+  // Minibatch data parallelism. forward() and backward() are const, so every
+  // executor shares `model`; each sample keeps its activations in its own
+  // cache and its gradient in its own buffer, and the reduction below adds
+  // the buffers in sample order. One backward() adds each parameter's
+  // gradient with exactly one `+=` of an independently computed term, so
+  // these are the additions a serial accumulation would perform: training
+  // is bit-identical at any jobs value.
   const std::size_t jobs = support::ThreadPool::effective_jobs(options.jobs);
   std::unique_ptr<support::ThreadPool> pool;
-  std::vector<GnnRegressor> clones;
-  if (jobs > 1) {
-    pool = std::make_unique<support::ThreadPool>(jobs - 1);
-    clones.assign(pool->worker_count() + 1, model);
-  }
+  if (jobs > 1) pool = std::make_unique<support::ThreadPool>(jobs - 1);
 
   double last_grad_norm = 0.0;
   for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
@@ -64,43 +61,30 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
     double epoch_loss = 0.0;
     for (std::size_t start = 0; start < order.size(); start += options.batch_size) {
       const std::size_t end = std::min(order.size(), start + options.batch_size);
-      model.zero_grad();
-      if (pool == nullptr) {
-        for (std::size_t i = start; i < end; ++i) {
-          const GraphSample& sample = train[order[i]];
-          const double pred = model.forward(*sample.structure, sample.features);
-          const double residual = pred - sample.target;
-          epoch_loss += residual * residual;
-          // d/dpred of (pred − y)² averaged over the batch.
-          model.backward(2.0 * residual / static_cast<double>(end - start));
-        }
+      const std::size_t bn = end - start;
+      std::vector<double> losses(bn);
+      std::vector<std::vector<graph::Matrix>> sample_grads(bn);
+      auto run_sample = [&](std::size_t b, std::size_t /*executor*/) {
+        const GraphSample& sample = train[order[start + b]];
+        GnnRegressor::ForwardCache cache;
+        const double pred = model.forward(*sample.structure, sample.features, cache);
+        const double residual = pred - sample.target;
+        losses[b] = residual * residual;
+        sample_grads[b] = model.zero_gradients();
+        // d/dpred of (pred − y)² averaged over the batch.
+        model.backward(cache, 2.0 * residual / static_cast<double>(bn),
+                       sample_grads[b]);
+      };
+      if (pool != nullptr) {
+        pool->parallel_for(0, bn, run_sample);
       } else {
-        const std::size_t bn = end - start;
-        for (GnnRegressor& clone : clones) {
-          auto dst = clone.parameters();
-          const auto src = model.parameters();
-          for (std::size_t k = 0; k < src.size(); ++k) *dst[k] = *src[k];
-        }
-        std::vector<double> losses(bn);
-        std::vector<std::vector<graph::Matrix>> sample_grads(bn);
-        pool->parallel_for(0, bn, [&](std::size_t b, std::size_t executor) {
-          GnnRegressor& local = clones[executor];
-          local.zero_grad();
-          const GraphSample& sample = train[order[start + b]];
-          const double pred = local.forward(*sample.structure, sample.features);
-          const double residual = pred - sample.target;
-          losses[b] = residual * residual;
-          local.backward(2.0 * residual / static_cast<double>(bn));
-          const auto g = local.gradients();
-          sample_grads[b].reserve(g.size());
-          for (const auto* m : g) sample_grads[b].push_back(*m);
-        });
-        const auto grad_sinks = model.gradients();
-        for (std::size_t b = 0; b < bn; ++b) {
-          epoch_loss += losses[b];
-          for (std::size_t k = 0; k < grad_sinks.size(); ++k) {
-            *grad_sinks[k] += sample_grads[b][k];
-          }
+        for (std::size_t b = 0; b < bn; ++b) run_sample(b, 0);
+      }
+      for (auto& g : batch_grads) g *= 0.0;
+      for (std::size_t b = 0; b < bn; ++b) {
+        epoch_loss += losses[b];
+        for (std::size_t k = 0; k < batch_grads.size(); ++k) {
+          batch_grads[k] += sample_grads[b][k];
         }
       }
       if (options.max_grad_norm > 0.0) {
@@ -156,7 +140,7 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
   return report;
 }
 
-double evaluate_mse(GnnRegressor& model, const std::vector<GraphSample>& samples) {
+double evaluate_mse(const GnnRegressor& model, const std::vector<GraphSample>& samples) {
   IC_ASSERT(!samples.empty());
   double acc = 0.0;
   for (const GraphSample& s : samples) {
@@ -166,7 +150,7 @@ double evaluate_mse(GnnRegressor& model, const std::vector<GraphSample>& samples
   return acc / static_cast<double>(samples.size());
 }
 
-std::vector<double> predict_all(GnnRegressor& model,
+std::vector<double> predict_all(const GnnRegressor& model,
                                 const std::vector<GraphSample>& samples) {
   std::vector<double> out;
   out.reserve(samples.size());

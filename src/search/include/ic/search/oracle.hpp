@@ -91,14 +91,14 @@ class ClientOracle final : public FitnessOracle {
 /// Scores candidates with a fitted estimator bound to the search circuit.
 class EstimatorOracle final : public FitnessOracle {
  public:
-  explicit EstimatorOracle(core::RuntimeEstimator& estimator);
+  explicit EstimatorOracle(const core::RuntimeEstimator& estimator);
 
  protected:
   std::vector<double> predict_batch_impl(
       const std::vector<std::vector<circuit::GateId>>& selections) override;
 
  private:
-  core::RuntimeEstimator& estimator_;
+  const core::RuntimeEstimator& estimator_;
 };
 
 }  // namespace ic::search

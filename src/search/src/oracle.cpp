@@ -73,7 +73,7 @@ std::vector<double> ClientOracle::predict_batch_impl(
   return out;
 }
 
-EstimatorOracle::EstimatorOracle(core::RuntimeEstimator& estimator)
+EstimatorOracle::EstimatorOracle(const core::RuntimeEstimator& estimator)
     : estimator_(estimator) {}
 
 std::vector<double> EstimatorOracle::predict_batch_impl(

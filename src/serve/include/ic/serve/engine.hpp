@@ -6,13 +6,13 @@
 //     ──► promises fulfilled / completion callbacks invoked
 //
 // * Sharding: EngineOptions::shards creates N independent pipelines, each
-//   with its own bounded MPSC queue, mutex, batcher thread, worker pool, and
-//   per-executor model replicas. Admission takes only the target shard's
-//   lock — there is no global lock on the request path. The router hashes
-//   the registered circuit's fingerprint together with the selection, so a
-//   given (circuit, selection) query is shard-affine while a policy search
-//   streaming thousands of selections of one circuit spreads across every
-//   shard. The FeatureCache is engine-wide (one featurization per circuit,
+//   with its own bounded MPSC queue, mutex, batcher thread and worker pool.
+//   Admission takes only the target shard's lock — there is no global lock
+//   on the request path. The router hashes the registered circuit's
+//   fingerprint together with the selection, so a given (circuit,
+//   selection) query is shard-affine while a policy search streaming
+//   thousands of selections of one circuit spreads across every shard.
+//   The FeatureCache is engine-wide (one featurization per circuit,
 //   whichever shard computes it first), so cache locality survives sharding.
 // * Cross-shard determinism: a prediction is a pure function of (model
 //   parameters, structure operator, features) — the §8 contract — so WHERE
@@ -26,10 +26,10 @@
 // * Deadlines are per request (enqueue time + timeout_ms); an expired
 //   request is answered DeadlineExceeded without running inference.
 // * Micro-batching: each shard's batcher drains up to max_batch queued
-//   requests and fans them out with ThreadPool::parallel_for under the PR 2
-//   determinism contract — each request writes results[i], and each executor
-//   runs its own model replica, so concurrent answers are bit-identical to
-//   serial ones.
+//   requests and fans them out with ThreadPool::parallel_for under the
+//   determinism contract — each request writes results[i], and every
+//   executor calls the const GnnRegressor::predict of the one shared
+//   snapshot, so concurrent answers are bit-identical to serial ones.
 // * submit_async() is the event-driven server's path: instead of a future,
 //   the completion callback fires exactly once with the result — on the
 //   shard batcher thread normally, or on the submitting thread when the
@@ -78,7 +78,7 @@ class Histogram;
 namespace ic::serve {
 
 struct EngineOptions {
-  /// Independent shard pipelines (queue + batcher + replicas each).
+  /// Independent shard pipelines (queue + batcher + worker pool each).
   std::size_t shards = 1;
   std::size_t max_queue = 1024;  ///< per-shard; reject beyond this depth
   std::size_t max_batch = 32;    ///< requests per micro-batch
@@ -222,14 +222,9 @@ class InferenceEngine {
     std::shared_ptr<const circuit::Netlist> netlist;
     std::uint64_t fingerprint = 0;
   };
-  /// Per-executor cached model copy, refreshed when the snapshot moves.
-  struct Replica {
-    std::uint64_t version = 0;
-    std::unique_ptr<nn::GnnRegressor> model;
-  };
-  /// One independent pipeline: bounded MPSC queue, batcher, worker pool,
-  /// per-executor replicas. Admission and batching touch only this state,
-  /// so shards never contend with each other.
+  /// One independent pipeline: bounded MPSC queue, batcher, worker pool.
+  /// Admission and batching touch only this state, so shards never contend
+  /// with each other.
   struct Shard {
     mutable std::mutex mu;
     std::condition_variable work_cv;     // batcher wakeups
@@ -241,10 +236,6 @@ class InferenceEngine {
 
     support::ThreadPool* pool = nullptr;  // global or owned_pool
     std::unique_ptr<support::ThreadPool> owned_pool;
-    // replicas[executor][model name] — an executor's slot is only ever
-    // touched by that executor during this shard's parallel_for, so no lock
-    // is needed (executor ids are per-pool; each shard has its own array).
-    std::vector<std::map<std::string, Replica>> replicas;
     telemetry::Gauge* depth_gauge = nullptr;  // serve.shard<k>.queue_depth
     std::thread batcher;
   };
@@ -256,9 +247,8 @@ class InferenceEngine {
   /// TraceStore; called once per request at fulfillment.
   void finish_timeline(Pending& pending, std::size_t shard_index,
                        double total_seconds);
-  PredictResult process(Shard& shard, Pending& pending, std::size_t executor);
-  PredictResult process_inner(Shard& shard, Pending& pending,
-                              std::size_t executor,
+  PredictResult process(Pending& pending);
+  PredictResult process_inner(Pending& pending,
                               std::chrono::steady_clock::time_point started);
 
   ModelRegistry& registry_;

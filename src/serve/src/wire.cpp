@@ -86,6 +86,11 @@ void JsonValue::push_back(JsonValue value) {
 
 namespace {
 
+/// Deepest object/array nesting a document may have. Wire requests nest two
+/// or three levels; the cap keeps a hostile line from recursing the parser
+/// off the I/O thread's stack.
+constexpr std::size_t kMaxNesting = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -131,8 +136,15 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNesting) {
+        fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+      }
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue::string(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -270,6 +282,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open objects/arrays around pos_
 };
 
 void dump_number(std::ostream& os, double v) {

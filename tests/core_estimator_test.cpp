@@ -97,9 +97,8 @@ TEST_F(EstimatorEndToEnd, FeatureAttentionIsDistribution) {
   opt.train.max_epochs = 60;
   RuntimeEstimator estimator(opt);
   estimator.fit(*dataset_);
-  estimator.predict_log_runtime(
+  const auto att = estimator.feature_attention(
       locking::select_gates(*circuit_, 4, locking::SelectionPolicy::Random, 3));
-  const auto att = estimator.feature_attention();
   ASSERT_FALSE(att.empty());
   double sum = 0.0;
   for (double a : att) {
@@ -162,7 +161,7 @@ TEST(Estimator, GuardsAgainstMisuse) {
   EstimatorOptions sum_opt;
   sum_opt.readout = nn::Readout::Sum;
   RuntimeEstimator sum_est(sum_opt);
-  EXPECT_THROW(sum_est.feature_attention(), std::runtime_error);
+  EXPECT_THROW(sum_est.feature_attention({1}), std::runtime_error);
 }
 
 }  // namespace

@@ -32,8 +32,6 @@ TEST(Matrix, ArithmeticOps) {
   EXPECT_DOUBLE_EQ(diff(1, 1), 4.0);
   const Matrix scaled = a * 2.0;
   EXPECT_DOUBLE_EQ(scaled(1, 0), 6.0);
-  const Matrix had = a.hadamard(b);
-  EXPECT_DOUBLE_EQ(had(0, 1), 12.0);
 }
 
 TEST(Matrix, MatmulKnownProduct) {
@@ -77,10 +75,8 @@ TEST(Matrix, Reductions) {
   EXPECT_DOUBLE_EQ(m.frobenius_norm(), std::sqrt(30.0));
 }
 
-TEST(Matrix, ApplyAndColumnVec) {
+TEST(Matrix, ColumnVec) {
   const Matrix m{{1, -2}, {-3, 4}};
-  const Matrix abs = m.apply([](double v) { return std::fabs(v); });
-  EXPECT_DOUBLE_EQ(abs(1, 0), 3.0);
   const auto col = m.column_vec(1);
   ASSERT_EQ(col.size(), 2u);
   EXPECT_DOUBLE_EQ(col[0], -2.0);

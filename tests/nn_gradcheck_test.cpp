@@ -45,11 +45,11 @@ TEST_P(GradCheck, AnalyticMatchesNumeric) {
   const double target = 1.3;
 
   // Analytic gradient of L = (f(x) − t)².
-  model.zero_grad();
-  const double out = model.forward(*s, x);
-  model.backward(2.0 * (out - target));
+  GnnRegressor::ForwardCache cache;
+  const double out = model.forward(*s, x, cache);
+  auto grads = model.zero_gradients();
+  model.backward(cache, 2.0 * (out - target), grads);
   const auto params = model.parameters();
-  const auto grads = model.gradients();
 
   const double eps = 1e-6;
   double worst_rel = 0.0;
@@ -66,7 +66,7 @@ TEST_P(GradCheck, AnalyticMatchesNumeric) {
         const double loss_up = (up - target) * (up - target);
         const double loss_down = (down - target) * (down - target);
         const double numeric = (loss_up - loss_down) / (2.0 * eps);
-        const double analytic = (*grads[pi])(r, c);
+        const double analytic = grads[pi](r, c);
         const double scale = std::max({1e-6, std::fabs(numeric), std::fabs(analytic)});
         const double rel = std::fabs(numeric - analytic) / scale;
         worst_rel = std::max(worst_rel, rel);
@@ -78,7 +78,7 @@ TEST_P(GradCheck, AnalyticMatchesNumeric) {
   }
   // Sanity: at least something had a non-trivial gradient.
   double grad_norm = 0.0;
-  for (const auto* g : grads) grad_norm += g->frobenius_norm();
+  for (const auto& g : grads) grad_norm += g.frobenius_norm();
   EXPECT_GT(grad_norm, 1e-8) << gc.label;
   (void)worst_rel;
 }
@@ -129,33 +129,62 @@ TEST(GraphConvUnit, PropagateForwardMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(out(1, 1), 1.5);
 }
 
-TEST(GraphConvUnit, ZeroGradClearsAccumulation) {
+TEST(GraphConvUnit, BackwardAddsIntoCallerGradients) {
   Rng rng(2);
-  GraphConv conv(ConvMode::Propagate, 1, 3, 2, rng);
+  const GraphConv conv(ConvMode::Propagate, 1, 3, 2, rng);
   const SparseMatrix s = SparseMatrix::identity(4);
   const Matrix x = Matrix::random_normal(4, 3, 1.0, rng);
-  conv.forward(s, x);
-  conv.backward(Matrix::random_normal(4, 2, 1.0, rng));
+  GraphConv::Cache cache;
+  const Matrix out = conv.forward(s, x, &cache);
+  EXPECT_EQ(Matrix::max_abs_diff(out, conv.forward(s, x)), 0.0);
+  const Matrix d_out = Matrix::random_normal(4, 2, 1.0, rng);
+
+  std::vector<Matrix> once{Matrix(3, 2), Matrix(1, 2)};
+  conv.backward(s, cache, d_out, once.data());
   double norm = 0.0;
-  for (auto* g : conv.gradients()) norm += g->frobenius_norm();
+  for (const auto& g : once) norm += g.frobenius_norm();
   EXPECT_GT(norm, 0.0);
-  conv.zero_grad();
-  norm = 0.0;
-  for (auto* g : conv.gradients()) norm += g->frobenius_norm();
-  EXPECT_DOUBLE_EQ(norm, 0.0);
+
+  // A second backward of the same forward adds the same term again.
+  std::vector<Matrix> twice{Matrix(3, 2), Matrix(1, 2)};
+  conv.backward(s, cache, d_out, twice.data());
+  conv.backward(s, cache, d_out, twice.data());
+  for (std::size_t k = 0; k < once.size(); ++k) {
+    EXPECT_EQ(Matrix::max_abs_diff(once[k] * 2.0, twice[k]), 0.0) << k;
+  }
 }
 
-TEST(ReluUnit, MasksNegativeAndPassesPositive) {
-  Relu relu;
+TEST(GraphConvUnit, ReluMasksNegativesInForwardAndBackward) {
+  // S = I, W = I, b = 0: the layer is ReLU(X), so dL/dX is dL/dH_out with
+  // the entries of non-positive inputs zeroed, and dL/dW only sees the
+  // positive entries.
+  Rng rng(5);
+  GraphConv conv(ConvMode::Propagate, 1, 2, 2, rng);
+  auto params = conv.parameters();
+  *params[0] = Matrix{{1.0, 0.0}, {0.0, 1.0}};
+  *params[1] = Matrix{{0.0, 0.0}};
+  const SparseMatrix s = SparseMatrix::identity(2);
   const Matrix x{{-1.0, 2.0}, {0.0, -3.0}};
-  const Matrix y = relu.forward(x);
+  GraphConv::Cache cache;
+  const Matrix y = conv.forward(s, x, &cache);
   EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(y(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(y(1, 0), 0.0);
   EXPECT_DOUBLE_EQ(y(1, 1), 0.0);
-  const Matrix dy{{5.0, 5.0}, {5.0, 5.0}};
-  const Matrix dx = relu.backward(dy);
+
+  std::vector<Matrix> grads{Matrix(2, 2), Matrix(1, 2)};
+  const Matrix dx = conv.backward(s, cache, Matrix{{5.0, 5.0}, {5.0, 5.0}},
+                                  grads.data());
   EXPECT_DOUBLE_EQ(dx(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(dx(0, 1), 5.0);
+  EXPECT_DOUBLE_EQ(dx(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(dx(1, 1), 0.0);
+  // dL/dW = Xᵀ · masked dL/dH_out: only x(0,1) = 2 reaches column 1.
+  EXPECT_DOUBLE_EQ(grads[0](1, 1), 10.0);
+  EXPECT_DOUBLE_EQ(grads[0](0, 0), 0.0);
+  // dL/db = column sums of the masked dL/dH_out.
+  EXPECT_DOUBLE_EQ(grads[1](0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(grads[1](0, 1), 5.0);
 }
 
 TEST(Regressor, AttentionWeightsAreADistribution) {
@@ -168,9 +197,10 @@ TEST(Regressor, AttentionWeightsAreADistribution) {
   GnnRegressor model(cfg);
   Rng rng(3);
   const Matrix x = Matrix::random_uniform(circuit.size(), 3, 1.0, rng);
-  model.predict(*s, x);
-  const auto& fa = model.last_feature_attention();
-  const auto& ga = model.last_gate_attention();
+  GnnRegressor::ForwardCache cache;
+  EXPECT_EQ(model.forward(*s, x, cache), model.predict(*s, x));
+  const auto& fa = cache.feat_attention;
+  const auto& ga = cache.gate_attention;
   ASSERT_EQ(fa.size(), 4u);
   ASSERT_EQ(ga.size(), circuit.size());
   double sum = 0.0;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "ic/circuit/library.hpp"
 #include "ic/data/dataset.hpp"
@@ -151,6 +153,46 @@ TEST(Training, ParallelMinibatchIsBitIdenticalToSerial) {
   const auto p_parallel = predict_all(parallel_model, samples);
   for (std::size_t i = 0; i < p_serial.size(); ++i) {
     EXPECT_EQ(p_serial[i], p_parallel[i]) << "sample " << i;
+  }
+}
+
+TEST(Training, SharedModelPredictsConcurrentlyBitForBit) {
+  // predict() is const and keeps no activations, so threads may share one
+  // model: eight concurrent callers must each reproduce the serial answers
+  // exactly.
+  const auto samples = synthetic_samples(24, 23);
+  for (const ConvMode mode : {ConvMode::Propagate, ConvMode::Chebyshev}) {
+    GnnConfig cfg;
+    cfg.conv_mode = mode;
+    cfg.in_features = 2;
+    cfg.hidden = {8, 4};
+    cfg.readout = Readout::Attention;
+    cfg.seed = 5;
+    const GnnRegressor model(cfg);
+    const auto serial = predict_all(model, samples);
+
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::vector<double>> concurrent(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Each thread starts at a different sample so the calls overlap on
+        // different inputs, not in lockstep.
+        concurrent[t].resize(samples.size());
+        for (std::size_t k = 0; k < samples.size(); ++k) {
+          const std::size_t i = (k + 3 * t) % samples.size();
+          concurrent[t][i] = model.predict(*samples[i].structure, samples[i].features);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(concurrent[t].size(), serial.size());
+      EXPECT_EQ(std::memcmp(concurrent[t].data(), serial.data(),
+                            serial.size() * sizeof(double)),
+                0)
+          << "thread " << t;
+    }
   }
 }
 

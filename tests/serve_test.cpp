@@ -713,6 +713,68 @@ TEST_F(ServeTest, MalformedLinesCountWireErrors) {
   engine.stop();
 }
 
+TEST_F(ServeTest, DeeplyNestedLineGetsErrorAndServerKeepsServing) {
+  ModelRegistry registry;
+  registry.load("default", model_path_);
+  InferenceEngine engine(registry, {});
+  engine.register_circuit("default", circuit_);
+  Server server(engine, registry, {});
+  server.start();
+
+  // A raw connection: the client library never writes such a line.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  auto send_all = [fd](const std::string& text) {
+    std::size_t sent = 0;
+    while (sent < text.size()) {
+      const ssize_t n = ::send(fd, text.data() + sent, text.size() - sent, 0);
+      ASSERT_GT(n, 0);
+      sent += static_cast<std::size_t>(n);
+    }
+  };
+  std::string pending;
+  auto read_line = [fd, &pending]() {
+    for (;;) {
+      const auto eol = pending.find('\n');
+      if (eol != std::string::npos) {
+        std::string line = pending.substr(0, eol);
+        pending.erase(0, eol + 1);
+        return line;
+      }
+      char buf[4096];
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) return std::string("<connection closed>");
+      pending.append(buf, static_cast<std::size_t>(n));
+    }
+  };
+
+  // 100k levels of nesting: recursive descent without a cap overflows the
+  // I/O thread's stack and takes the whole server down.
+  constexpr std::size_t kDepth = 100000;
+  send_all("{\"op\":\"ping\",\"x\":" + std::string(kDepth, '[') +
+           std::string(kDepth, ']') + "}\n");
+  const std::string error_line = read_line();
+  const WireResponse error = parse_response(error_line);
+  EXPECT_FALSE(error.ok) << error_line;
+  EXPECT_EQ(error.status, "error");
+  EXPECT_NE(error.error.find("nesting"), std::string::npos) << error.error;
+
+  // The same connection, and a fresh one, still get answers.
+  send_all("{\"op\":\"ping\"}\n");
+  EXPECT_TRUE(parse_response(read_line()).ok);
+  ::close(fd);
+  Client client("127.0.0.1", server.port());
+  EXPECT_TRUE(client.ping().ok);
+
+  server.shutdown();
+  engine.stop();
+}
+
 TEST_F(ServeTest, RemoteShutdownDrainsGracefully) {
   ModelRegistry registry;
   registry.load("default", model_path_);
